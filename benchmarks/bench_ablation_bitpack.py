@@ -4,11 +4,10 @@ This measures the functional simulator itself (all paths are bit-exact;
 the hardware argument for XNOR/popcount is §2.2).  The geometry is the
 one the vectorized engine actually runs: a whole LSTM gate phase stacked
 along the neuron axis (4 x 320 neurons at EESEN's widths), evaluated on
-a batch of operands.  Three paths are compared:
+a batch of operands.  Two paths are timed:
 
-- the ±1 int matmul reference (``binary_dot``),
-- per-call packing + popcount (``BinaryGate.evaluate_operand`` with
-  ``use_packed=True``),
+- the ±1 int matmul (``BinaryGate.evaluate``, i.e. ``binary_dot``) —
+  the kernel of the engine's scalar reference path,
 - the engine's hot path: the operand packed once via ``pack_signs`` and
   fed to ``BinaryGate.evaluate_packed`` — exactly what
   ``MemoizedRecurrentLayer`` does per phase timestep.
@@ -17,7 +16,7 @@ a batch of operands.  Three paths are compared:
 import numpy as np
 import pytest
 
-from repro.core.binarization import pack_signs
+from repro.core.binarization import binary_dot_packed, pack_signs
 from repro.core.bnn import BinaryGate
 
 #: EESEN-like phase geometry: 4 LSTM gates x 320 neurons, 640-bit operands.
@@ -37,14 +36,7 @@ def phase_operands():
 
 def test_bnn_matmul_path(benchmark, phase_operands):
     w_x, w_h, x, h = phase_operands
-    gate = BinaryGate(w_x, w_h, use_packed=False)
-    result = benchmark(gate.evaluate, x, h)
-    assert result.shape == (BATCH, GATES * NEURONS)
-
-
-def test_bnn_packed_path(benchmark, phase_operands):
-    w_x, w_h, x, h = phase_operands
-    gate = BinaryGate(w_x, w_h, use_packed=True)
+    gate = BinaryGate(w_x, w_h)
     result = benchmark(gate.evaluate, x, h)
     assert result.shape == (BATCH, GATES * NEURONS)
 
@@ -64,15 +56,14 @@ def test_bnn_prepacked_engine_path(benchmark, phase_operands):
 
 def test_paths_agree(benchmark, phase_operands):
     w_x, w_h, x, h = phase_operands
-    plain = BinaryGate(w_x, w_h, use_packed=False)
-    packed = BinaryGate(w_x, w_h, use_packed=True)
+    gate = BinaryGate(w_x, w_h)
     operand = np.concatenate([x, h], axis=-1)
 
     def all_three():
         return (
-            plain.evaluate(x, h),
-            packed.evaluate(x, h),
-            plain.evaluate_packed(pack_signs(operand)),
+            gate.evaluate(x, h),
+            binary_dot_packed(gate.packed_weights, pack_signs(operand), gate.n_bits),
+            gate.evaluate_packed(pack_signs(operand)),
         )
 
     a, b, c = benchmark.pedantic(all_three, rounds=1, iterations=1)

@@ -4,8 +4,8 @@ Times the four Table 1 networks' recurrent stacks — at their *paper*
 gate geometries (cell type, neurons per layer/direction, layer widths) —
 under fuzzy memoization in both engine modes:
 
-- ``scalar``: the per-gate reference path (one predictor per gate, the
-  legacy ``GatePredictor.step`` closure interface);
+- ``scalar``: the per-gate reference path (one predictor and one memo
+  per gate, the BNN evaluated by ±1 matmul);
 - ``vectorized``: the batched fast path (phase-stacked predictors,
   uint64-packed sign words, contiguous memo tables).
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 

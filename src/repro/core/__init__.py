@@ -41,8 +41,6 @@ from repro.core.engine import (
     restore,
 )
 from repro.core.layers import (
-    MemoizedGRULayer,
-    MemoizedLSTMLayer,
     MemoizedRecurrentLayer,
     wrap_layer,
 )
@@ -57,7 +55,6 @@ from repro.core.predictors import (
     GatePredictor,
     InputSimilarityGatePredictor,
     OracleGatePredictor,
-    StepDecision,
 )
 from repro.core.stats import (
     DetailedReuseStats,
@@ -79,12 +76,9 @@ __all__ = [
     "InputSimilarityGatePredictor",
     "MemoTable",
     "MemoizationScheme",
-    "MemoizedGRULayer",
-    "MemoizedLSTMLayer",
     "MemoizedRecurrentLayer",
     "OracleGatePredictor",
     "ReuseStats",
-    "StepDecision",
     "SweepPoint",
     "ThresholdSweep",
     "apply_memoization",

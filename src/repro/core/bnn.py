@@ -10,6 +10,13 @@ A gate may mirror a *stack* of gates: the vectorized engine concatenates
 the per-gate weight matrices of a whole phase along the neuron axis and
 builds one ``BinaryGate`` over the stack, so a single XNOR/popcount pass
 (:meth:`BinaryGate.evaluate_packed`) covers every gate of the cell.
+
+The two evaluation methods are two independent kernels for the same
+integers: :meth:`BinaryGate.evaluate_operand` always runs the ±1 matmul
+(:func:`~repro.core.binarization.binary_dot`; the engine's scalar
+reference path), :meth:`BinaryGate.evaluate_packed` always runs the
+XNOR/popcount (:func:`~repro.core.binarization.binary_dot_packed`; the
+vectorized fast path, mirroring the hardware BDPU).
 """
 
 from __future__ import annotations
@@ -34,13 +41,9 @@ class BinaryGate:
     Args:
         w_x: full-precision forward weights ``(H, E)``.
         w_h: full-precision recurrent weights ``(H, R)``.
-        use_packed: route :meth:`evaluate` through the XNOR/popcount path
-            instead of the ±1 matmul (identical results; the packed path
-            mirrors the hardware BDPU).  Packed weights are built lazily
-            either way, so :meth:`evaluate_packed` is always available.
     """
 
-    def __init__(self, w_x: Array, w_h: Array, use_packed: bool = False):
+    def __init__(self, w_x: Array, w_h: Array):
         w_x = np.asarray(w_x)
         w_h = np.asarray(w_h)
         if w_x.ndim != 2 or w_h.ndim != 2:
@@ -54,19 +57,15 @@ class BinaryGate:
         self.input_size = w_x.shape[1]
         self.recurrent_size = w_h.shape[1]
         self.n_bits = self.input_size + self.recurrent_size
-        self.use_packed = use_packed
-        full = np.concatenate([w_x, w_h], axis=1)
-        self.weights_bin = binarize(full)
-        self._weights_packed: Optional[Array] = (
-            pack_signs(full) if use_packed else None
-        )
+        self.weights_bin = binarize(np.concatenate([w_x, w_h], axis=1))
+        self._weights_packed: Optional[Array] = None
 
     @property
     def packed_weights(self) -> Array:
         """uint64-packed weight signs, built on first use and cached.
 
         ``weights_bin`` is ±1 with the same ``>= 0`` convention as the raw
-        weights, so packing it reproduces ``pack_signs(full)`` exactly.
+        weights, so packing it reproduces ``pack_signs([w_x | w_h])`` exactly.
         """
         if self._weights_packed is None:
             self._weights_packed = pack_signs(self.weights_bin)
@@ -83,18 +82,12 @@ class BinaryGate:
         return self.evaluate_operand(np.concatenate([x, h], axis=-1))
 
     def evaluate_operand(self, operand: Array) -> Array:
-        """Binary dot products for an already-concatenated ``[x ; h]``.
-
-        Honors ``use_packed`` (matmul vs popcount — bit-identical).
-        """
+        """±1-matmul binary dot products for an already-concatenated
+        ``[x ; h]``."""
         operand = np.asarray(operand)
         if operand.shape[-1] != self.n_bits:
             raise ValueError(
                 f"operand width {operand.shape[-1]} != expected {self.n_bits}"
-            )
-        if self.use_packed:
-            return binary_dot_packed(
-                self.packed_weights, pack_signs(operand), self.n_bits
             )
         return binary_dot(self.weights_bin, binarize(operand))
 
@@ -103,8 +96,9 @@ class BinaryGate:
 
         The fast path of the vectorized engine: the caller packs the
         concatenated operand once per phase (``pack_signs``) and this
-        reduces to ``n_bits - 2 * popcount(w XOR x)`` per neuron,
-        regardless of ``use_packed`` (the integers are identical).
+        reduces to ``n_bits - 2 * popcount(w XOR x)`` per neuron (the
+        same integers as :meth:`evaluate_operand`).  Packed weights are
+        built lazily on the first call.
         """
         return binary_dot_packed(self.packed_weights, packed_operand, self.n_bits)
 
@@ -114,7 +108,4 @@ class BinaryGate:
         return self.neurons * self.n_bits
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BinaryGate(neurons={self.neurons}, n_bits={self.n_bits}, "
-            f"packed={self.use_packed})"
-        )
+        return f"BinaryGate(neurons={self.neurons}, n_bits={self.n_bits})"

@@ -49,11 +49,11 @@ class MemoizationScheme:
             with a :class:`ValueError` at construction time.
         throttle: accumulate relative differences across consecutive
             reuses (Eq. 13).  Only meaningful for the BNN predictor.
-        use_packed: evaluate BNNs with the XNOR/popcount bit-packed path.
         vectorized: route timesteps through the batched fast path — one
             phase-level predictor over stacked gate weights, uint64
-            packed sign words, contiguous memo tables.  ``False``
-            selects the per-gate scalar reference path.  Results are
+            packed sign words and an XNOR/popcount BNN, contiguous memo
+            tables.  ``False`` selects the per-gate scalar reference
+            path, whose BNN runs the ±1 matmul instead.  Results are
             bitwise identical either way (the equivalence suites pin
             this), so the flag does not enter cache keys.
         layer_thetas: optional per-layer threshold overrides, keyed by
@@ -65,7 +65,6 @@ class MemoizationScheme:
     theta: float = 0.05
     predictor: str = "bnn"
     throttle: bool = True
-    use_packed: bool = False
     vectorized: bool = True
     layer_thetas: Optional[Mapping[str, float]] = None
 
@@ -120,7 +119,7 @@ class MemoizationScheme:
         if self.predictor == "input":
             return InputSimilarityGatePredictor(self.theta, neurons=w_x.shape[0])
         if self.predictor == "bnn":
-            gate = BinaryGate(w_x, w_h, use_packed=self.use_packed)
+            gate = BinaryGate(w_x, w_h)
             return BNNGatePredictor(gate, self.theta, throttle=self.throttle)
         raise ValueError(
             f"predictor must be one of {PREDICTOR_KINDS}, got "
@@ -141,7 +140,7 @@ def _iter_recurrent_children(
     """Yield ``(parent, attr, layer, dotted_name)`` for wrappable layers."""
     for attr, child in list(module._children.items()):
         dotted = f"{prefix}{attr}"
-        if isinstance(child, tuple(WRAPPABLE)):
+        if isinstance(child, WRAPPABLE):
             yield module, attr, child, dotted
         else:
             yield from _iter_recurrent_children(child, prefix=f"{dotted}.")

@@ -12,13 +12,17 @@ memoized values, and records the decisions into a
 Two modes share the class:
 
 - *vectorized* (default) — one phase-level predictor built from the
-  stacked gate weights, one packed sign evaluation and one
-  :class:`~repro.core.memo.MemoTable` update per phase.  This is the
-  fast path pinned by ``BENCH_eval.json``.
-- *scalar* — the per-gate reference path: one predictor per gate driven
-  through the legacy :meth:`~repro.core.predictors.GatePredictor.step`
-  closure interface.  Kept as the bitwise baseline the equivalence
-  suites compare against.
+  stacked gate weights, one packed sign evaluation (XNOR/popcount) and
+  one :class:`~repro.core.memo.MemoTable` update per phase.  This is
+  the fast path pinned by ``BENCH_eval.json``.  :meth:`on_gates` is its
+  only body: under an installed :mod:`repro.obs.profiler` it also
+  takes ``perf_counter`` fences around the predictor and the memo
+  substitution.
+- *scalar* — the per-gate reference path: one predictor and one memo
+  per gate, fed the raw operand so the BNN mirror runs the ±1 matmul
+  (:func:`~repro.core.binarization.binary_dot`) instead of the popcount.
+  Kept as the independent baseline the equivalence suites and
+  perfbench's output check compare against.
 
 Because every cell is a :class:`~repro.nn.cells.GatedCell`, nothing here
 special-cases LSTM vs GRU vs vanilla RNN — the phase decomposition
@@ -89,6 +93,9 @@ class MemoizedRecurrentLayer:
             for gate in self.cell.gate_names:
                 w_x, w_h, _ = self.cell.gate_weights(gate)
                 self._predictors[gate] = predictor_factory(w_x, w_h)
+            #: Per-gate memoized pre-activations; absent until a gate's
+            #: first timestep of the sequence.
+            self._memos: Dict[str, Array] = {}
 
     # -- sequence lifecycle --------------------------------------------------
 
@@ -101,6 +108,7 @@ class MemoizedRecurrentLayer:
         else:
             for predictor in self._predictors.values():
                 predictor.begin_sequence(batch)
+            self._memos.clear()
         return self.layer.start_state(batch)
 
     def step(self, x_t: Array, state):
@@ -123,16 +131,11 @@ class MemoizedRecurrentLayer:
         h: Array,
         preacts: Array,
     ) -> Array:
-        if self.vectorized:
-            profiler = _profiler.ACTIVE
-            if profiler is None:
-                return self._on_gates_vectorized(phase, x, h, preacts)
-            return self._on_gates_profiled(profiler, phase, x, h, preacts)
-        return self._on_gates_scalar(phase, x, h, preacts)
-
-    def _on_gates_vectorized(
-        self, phase: GatePhase, x: Array, h: Array, preacts: Array
-    ) -> Array:
+        if not self.vectorized:
+            return self._on_gates_scalar(phase, x, h, preacts)
+        # Timing fences run only under an installed profiler; they read
+        # the clock and touch nothing else, so profiled == unprofiled.
+        profiler = _profiler.ACTIVE
         predictor = self._phase_predictors[phase.index]
         table = self._tables[phase.index]
         packed = operand = None
@@ -142,71 +145,51 @@ class MemoizedRecurrentLayer:
                 packed = pack_signs(operand)
                 if "operand" not in predictor.REQUIRES:
                     operand = None
+        if profiler is not None:
+            t0 = perf_counter()
         mask = predictor.predict_many(
             packed, preacts=preacts, operand=operand, memo=table.memo
         )
+        if profiler is not None:
+            t1 = perf_counter()
         outputs = table.substitute(mask, preacts)
+        if profiler is not None:
+            profiler.record_phase(
+                self.name,
+                phase.index,
+                phase.gates,
+                predict_s=t1 - t0,
+                substitute_s=perf_counter() - t1,
+                reused=int(mask.sum()),
+                total=mask.size,
+            )
         hidden = self.hidden_size
         for i, gate in enumerate(phase.gates):
             self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
-        return outputs
-
-    def _on_gates_profiled(
-        self,
-        profiler: "_profiler.Profiler",
-        phase: GatePhase,
-        x: Array,
-        h: Array,
-        preacts: Array,
-    ) -> Array:
-        """:meth:`_on_gates_vectorized` with per-phase timing fences.
-
-        Mirrors the fast path call-for-call (same operations, same
-        order, same arrays) so outputs stay bitwise identical; the only
-        additions are ``perf_counter`` fences around the predictor and
-        the memo substitution, recorded into ``profiler``.
-        """
-        predictor = self._phase_predictors[phase.index]
-        table = self._tables[phase.index]
-        packed = operand = None
-        if predictor.REQUIRES:
-            operand = np.concatenate([x, h], axis=-1)
-            if "packed" in predictor.REQUIRES:
-                packed = pack_signs(operand)
-                if "operand" not in predictor.REQUIRES:
-                    operand = None
-        t0 = perf_counter()
-        mask = predictor.predict_many(
-            packed, preacts=preacts, operand=operand, memo=table.memo
-        )
-        t1 = perf_counter()
-        outputs = table.substitute(mask, preacts)
-        t2 = perf_counter()
-        hidden = self.hidden_size
-        for i, gate in enumerate(phase.gates):
-            self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
-        profiler.record_phase(
-            self.name,
-            phase.index,
-            phase.gates,
-            predict_s=t1 - t0,
-            substitute_s=t2 - t1,
-            reused=int(mask.sum()),
-            total=mask.size,
-        )
         return outputs
 
     def _on_gates_scalar(
         self, phase: GatePhase, x: Array, h: Array, preacts: Array
     ) -> Array:
+        """The per-gate reference: one predictor and one memo per gate,
+        the BNN evaluated by ±1 matmul rather than popcount."""
         hidden = self.hidden_size
         for i, gate in enumerate(phase.gates):
             block = preacts[:, i * hidden : (i + 1) * hidden]
-            decision = self._predictors[gate].step(
-                x, h, compute_full=lambda block=block: block
-            )
-            self.stats.record(self.name, gate, decision.reuse_mask)
-            preacts[:, i * hidden : (i + 1) * hidden] = decision.outputs
+            predictor = self._predictors[gate]
+            operand = None
+            if predictor.REQUIRES:
+                operand = np.concatenate([x, h], axis=-1)
+            memo = self._memos.get(gate)
+            mask = predictor.predict_many(operand=operand, preacts=block, memo=memo)
+            if memo is None:
+                self._memos[gate] = block.copy()
+                self.stats.record(self.name, gate, np.zeros(block.shape, dtype=bool))
+                continue
+            outputs = np.where(mask, memo, block)
+            self._memos[gate] = outputs
+            self.stats.record(self.name, gate, mask)
+            block[...] = outputs
         return preacts
 
     # -- forward -------------------------------------------------------------
@@ -226,16 +209,8 @@ class MemoizedRecurrentLayer:
     __call__ = forward
 
 
-#: Backwards-compatible aliases: the wrapper is cell-agnostic now.
-MemoizedLSTMLayer = MemoizedRecurrentLayer
-MemoizedGRULayer = MemoizedRecurrentLayer
-
-#: Types the engine knows how to wrap, with their wrapper classes.
-WRAPPABLE = {
-    LSTMLayer: MemoizedRecurrentLayer,
-    GRULayer: MemoizedRecurrentLayer,
-    RNNLayer: MemoizedRecurrentLayer,
-}
+#: Layer types the engine knows how to wrap.
+WRAPPABLE = (LSTMLayer, GRULayer, RNNLayer)
 
 
 def wrap_layer(
@@ -244,13 +219,10 @@ def wrap_layer(
     stats: ReuseStats,
     name: str,
     vectorized: bool = True,
-    _wrappable=None,
-):
+) -> MemoizedRecurrentLayer:
     """Wrap a recurrent layer in its memoized counterpart."""
-    table = _wrappable or WRAPPABLE
-    for layer_type, wrapper in table.items():
-        if isinstance(layer, layer_type):
-            return wrapper(
-                layer, predictor_factory, stats, name=name, vectorized=vectorized
-            )
-    raise TypeError(f"cannot memoize layer of type {type(layer).__name__}")
+    if not isinstance(layer, WRAPPABLE):
+        raise TypeError(f"cannot memoize layer of type {type(layer).__name__}")
+    return MemoizedRecurrentLayer(
+        layer, predictor_factory, stats, name=name, vectorized=vectorized
+    )

@@ -1,17 +1,17 @@
 """Opt-in engine profiling: phase-level timing inside the memoized core.
 
 The engine hot path (:class:`~repro.core.layers.MemoizedRecurrentLayer`)
-checks one module attribute — :data:`ACTIVE` — per dispatch.  When it is
+reads one module attribute — :data:`ACTIVE` — per dispatch.  When it is
 ``None`` (the default, always, unless a caller explicitly installs a
-profiler) the fast path runs untouched: no timestamps, no locks, no
-allocations.  ``benchmarks/bench_obs_overhead.py`` pins that claim with
-a floor-asserted <2% disabled-overhead budget against a hook-free
-baseline.
+profiler) no fence is taken: no timestamps, no locks, no allocations.
+``benchmarks/bench_obs_overhead.py`` pins that claim with a
+floor-asserted <2% disabled-overhead budget against a fence-free copy
+of the phase body.
 
 When a :class:`Profiler` is installed (usually via the :func:`profiled`
-context manager), the wrapper runs a *mirror* of the vectorized phase
-body with ``perf_counter`` fences around the predictor evaluation and
-the memo-table substitution — same calls in the same order, so enabling
+context manager), the one vectorized phase body (``on_gates``) also
+takes ``perf_counter`` fences around the predictor evaluation and the
+memo-table substitution — the fences only read the clock, so enabling
 profiling cannot change a single bit of the computation — and records,
 per (layer, phase): predictor seconds, substitution seconds, reuse
 counts, and per-step wall time (compute time is the step total minus

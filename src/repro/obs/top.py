@@ -20,7 +20,7 @@ import json
 import math
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.obs.tracing import REQUEST_ID_HEADER, new_request_id
 

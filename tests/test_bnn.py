@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.binarization import binarize, binary_dot
+from repro.core.binarization import binarize, binary_dot, pack_signs
 from repro.core.bnn import BinaryGate
 from repro.metrics.correlation import pearson
 from repro.nn.lstm import LSTMCell
@@ -51,13 +51,11 @@ class TestEvaluate:
         np.testing.assert_array_equal(gate.evaluate(x, h), expected)
 
     def test_packed_path_equivalent(self, rng):
-        w_x = rng.standard_normal((6, 4))
-        w_h = rng.standard_normal((6, 7))
-        plain = BinaryGate(w_x, w_h, use_packed=False)
-        packed = BinaryGate(w_x, w_h, use_packed=True)
+        gate = BinaryGate(rng.standard_normal((6, 4)), rng.standard_normal((6, 7)))
         x = rng.standard_normal((3, 4))
         h = rng.standard_normal((3, 7))
-        np.testing.assert_array_equal(plain.evaluate(x, h), packed.evaluate(x, h))
+        packed = pack_signs(np.concatenate([x, h], axis=-1))
+        np.testing.assert_array_equal(gate.evaluate(x, h), gate.evaluate_packed(packed))
 
     def test_wrong_operand_width_raises(self, rng):
         gate = BinaryGate(rng.standard_normal((4, 3)), rng.standard_normal((4, 5)))

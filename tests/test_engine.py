@@ -10,20 +10,13 @@ from repro.core.engine import (
     restore,
     swap_scheme,
 )
-from repro.core.layers import MemoizedGRULayer, MemoizedLSTMLayer
+from repro.core.layers import MemoizedRecurrentLayer
 from repro.core.stats import ReuseStats
 from repro.nn.gru import GRULayer
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMLayer
 from repro.nn.module import Module
 from repro.nn.rnn import Bidirectional, RNNStack
-
-# The scalar engine path intentionally calls the deprecated
-# GatePredictor.step; its DeprecationWarning is expected here.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:GatePredictor.step is deprecated:DeprecationWarning"
-)
-
 
 @pytest.fixture
 def rng():
@@ -96,10 +89,10 @@ class TestApplyRestore:
         stats = ReuseStats()
         replacements = apply_memoization(stack, MemoizationScheme(), stats)
         try:
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
-            assert isinstance(stack.layer1, MemoizedGRULayer)
-            assert isinstance(stack.layer2.fwd, MemoizedLSTMLayer)
-            assert isinstance(stack.layer2.bwd, MemoizedLSTMLayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer2.fwd, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer2.bwd, MemoizedRecurrentLayer)
             assert len(replacements) == 4
         finally:
             restore(replacements)
@@ -170,18 +163,40 @@ class TestContextManager:
             errors[predictor] = float(np.abs(out - reference).mean())
         assert errors["oracle"] <= errors["bnn"] + 1e-9
 
-    def test_packed_and_plain_bnn_identical(self, rng):
-        x = smooth_inputs(rng)
-        outs = {}
-        for packed in (False, True):
-            stack = RNNStack([LSTMLayer(5, 6, rng=np.random.default_rng(37))])
-            with memoized(
-                stack,
-                MemoizationScheme(theta=0.3, use_packed=packed),
-                ReuseStats(),
-            ):
-                outs[packed] = stack(x)
-        np.testing.assert_array_equal(outs[False], outs[True])
+    def test_packed_and_plain_bnn_identical(self, rng, monkeypatch):
+        """The two engine paths run different BNN kernels and agree
+        bitwise: the scalar reference completes with the popcount kernel
+        disabled, the vectorized path with the ±1 matmul disabled."""
+        from repro.core import bnn
+        from repro.nn.rnn import RNNLayer
+
+        x = smooth_inputs(rng, batch=3, steps=20)
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("this engine path must not call this kernel")
+
+        def run(vectorized, blocked):
+            stack = RNNStack(
+                [
+                    LSTMLayer(5, 6, rng=np.random.default_rng(37)),
+                    GRULayer(6, 4, rng=np.random.default_rng(38)),
+                    RNNLayer(4, 5, rng=np.random.default_rng(39)),
+                ]
+            )
+            stats = ReuseStats()
+            scheme = MemoizationScheme(theta=0.3, vectorized=vectorized)
+            with monkeypatch.context() as patch:
+                patch.setattr(bnn, blocked, disabled)
+                with memoized(stack, scheme, stats):
+                    out = stack(x)
+            return out, stats
+
+        ref_out, ref_stats = run(False, "binary_dot_packed")
+        vec_out, vec_stats = run(True, "binary_dot")
+        assert ref_stats.reuse_fraction() > 0
+        assert ref_out.tobytes() == vec_out.tobytes()
+        assert ref_stats.reused == vec_stats.reused
+        assert ref_stats.total == vec_stats.total
 
 
 class TestVectorizedFlag:
@@ -309,8 +324,8 @@ class TestAtomicApply:
             stack, MemoizationScheme(), ReuseStats()
         )
         try:
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
-            assert isinstance(stack.layer1, MemoizedGRULayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
         finally:
             restore(replacements)
 
@@ -327,7 +342,7 @@ class TestSwapScheme:
         replacements = apply_memoization(stack, old, stats)
         try:
             swap_scheme(stack, replacements, old, new, stats)
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
             # The wrapper now carries the new threshold.
             assert stack.layer0._phase_predictors[0].theta == 0.5
             stack(x)  # still serves
@@ -348,8 +363,8 @@ class TestSwapScheme:
             with pytest.raises(ValueError, match="non-negative"):
                 swap_scheme(stack, replacements, old, bad, stats)
             # Still wrapped, still under the old threshold, still serving.
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
-            assert isinstance(stack.layer1, MemoizedGRULayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
             assert stack.layer0._phase_predictors[0].theta == 0.05
             stack(x)
         finally:

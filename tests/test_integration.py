@@ -13,7 +13,7 @@ from repro.accel.eventsim import collect_layer_dims, replay_trace
 from repro.accel.trace import ReuseTrace
 from repro.analysis.sweep import end_to_end
 from repro.core.engine import MemoizationScheme, memoized
-from repro.core.stats import DetailedReuseStats, ReuseStats
+from repro.core.stats import DetailedReuseStats
 from repro.models.zoo import load_benchmark
 from repro.nn.serialization import load_state, save_state
 
@@ -108,11 +108,13 @@ class TestSchemeMatrixOnRealModel:
         assert result.quality >= 0.0
 
     def test_packed_matches_plain_on_real_model(self, imdb):
+        """The fast path's popcount BNN and the reference path's ±1
+        matmul BNN make the same decisions on a trained model."""
         plain = imdb.evaluate_memoized(
-            MemoizationScheme(theta=0.2, use_packed=False)
+            MemoizationScheme(theta=0.2, vectorized=False)
         )
         packed = imdb.evaluate_memoized(
-            MemoizationScheme(theta=0.2, use_packed=True)
+            MemoizationScheme(theta=0.2, vectorized=True)
         )
         assert plain.reuse_fraction == packed.reuse_fraction
         assert plain.quality == packed.quality

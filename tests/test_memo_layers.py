@@ -4,23 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import MemoizationScheme
-from repro.core.layers import (
-    MemoizedGRULayer,
-    MemoizedLSTMLayer,
-    MemoizedRecurrentLayer,
-    wrap_layer,
-)
+from repro.core.layers import MemoizedRecurrentLayer, wrap_layer
 from repro.core.stats import ReuseStats
 from repro.nn.gru import GRULayer
 from repro.nn.lstm import LSTMLayer
 from repro.nn.rnn import RNNLayer
-
-# The scalar wrapper path (vectorized=False) routes through the
-# deprecated GatePredictor.step by design; ignore its warning here.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:GatePredictor.step is deprecated:DeprecationWarning"
-)
-
 
 @pytest.fixture
 def rng():
@@ -46,7 +34,7 @@ class TestMemoizedLSTM:
         x = smooth_inputs(rng)
         reference = layer(x)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("oracle", theta=0.0).make_predictor, stats
         )
         np.testing.assert_array_equal(wrapped(x), reference)
@@ -56,7 +44,7 @@ class TestMemoizedLSTM:
         x = smooth_inputs(rng)
         reference = layer(x)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("bnn", theta=0.3).make_predictor, stats
         )
         out = wrapped(x)
@@ -67,7 +55,7 @@ class TestMemoizedLSTM:
     def test_records_all_four_gates(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme().make_predictor, stats, name="L"
         )
         wrapped(smooth_inputs(rng))
@@ -77,7 +65,7 @@ class TestMemoizedLSTM:
     def test_evaluation_counts(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         batch, steps = 2, 20
         wrapped(smooth_inputs(rng, batch=batch, steps=steps))
         assert stats.total_evaluations == batch * steps * 8 * 4
@@ -85,14 +73,14 @@ class TestMemoizedLSTM:
     def test_state_resets_between_forwards(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         x = smooth_inputs(rng)
         first = wrapped(x)
         second = wrapped(x)
         np.testing.assert_array_equal(first, second)
 
     def test_rejects_non_3d(self, rng):
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             LSTMLayer(6, 8, rng=rng), make_scheme().make_predictor, ReuseStats()
         )
         with pytest.raises(ValueError):
@@ -101,7 +89,7 @@ class TestMemoizedLSTM:
     def test_step_interface_matches_forward(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         x = smooth_inputs(rng, batch=1, steps=10)
         full = wrapped(x)
         state = wrapped.start_state(1)
@@ -118,7 +106,7 @@ class TestMemoizedGRU:
         x = smooth_inputs(rng)
         reference = layer(x)
         stats = ReuseStats()
-        wrapped = MemoizedGRULayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("oracle", theta=0.0).make_predictor, stats
         )
         np.testing.assert_array_equal(wrapped(x), reference)
@@ -126,7 +114,7 @@ class TestMemoizedGRU:
     def test_records_all_three_gates(self, rng):
         layer = GRULayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedGRULayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         wrapped(smooth_inputs(rng))
         assert {gate for (_, gate) in stats.total} == {"z", "r", "g"}
 
@@ -136,7 +124,7 @@ class TestMemoizedGRU:
         matters, a flipped reset gate changes the decision stream."""
         layer = GRULayer(4, 6, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedGRULayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("bnn", theta=0.2).make_predictor, stats
         )
         x = smooth_inputs(rng, dim=4)
@@ -150,7 +138,7 @@ class TestMemoizedGRU:
         for theta in (0.0, 0.5, 2.0):
             layer = GRULayer(6, 8, rng=np.random.default_rng(31))
             stats = ReuseStats()
-            MemoizedGRULayer(layer, make_scheme(theta=theta).make_predictor, stats)(x)
+            MemoizedRecurrentLayer(layer, make_scheme(theta=theta).make_predictor, stats)(x)
             fractions.append(stats.reuse_fraction())
         assert fractions[0] <= fractions[1] <= fractions[2]
 
@@ -230,18 +218,10 @@ class TestWrapLayer:
     def test_dispatch(self, rng):
         stats = ReuseStats()
         factory = make_scheme().make_predictor
-        assert isinstance(
-            wrap_layer(LSTMLayer(4, 4, rng=rng), factory, stats, "a"),
-            MemoizedLSTMLayer,
-        )
-        assert isinstance(
-            wrap_layer(GRULayer(4, 4, rng=rng), factory, stats, "b"),
-            MemoizedGRULayer,
-        )
-        assert isinstance(
-            wrap_layer(RNNLayer(4, 4, rng=rng), factory, stats, "c"),
-            MemoizedRecurrentLayer,
-        )
+        for name, layer_type in zip("abc", (LSTMLayer, GRULayer, RNNLayer)):
+            wrapped = wrap_layer(layer_type(4, 4, rng=rng), factory, stats, name)
+            assert isinstance(wrapped, MemoizedRecurrentLayer)
+            assert wrapped.name == name
 
     def test_vectorized_flag_propagates(self, rng):
         factory = make_scheme().make_predictor

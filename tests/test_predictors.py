@@ -11,13 +11,6 @@ from repro.core.predictors import (
     OracleGatePredictor,
 )
 
-# These suites exercise the deprecated scalar interfaces (.step /
-# .predict) on purpose — they pin the legacy reference semantics.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:GatePredictor.(step|predict) is deprecated:DeprecationWarning"
-)
-
-
 def make_gate(rng, neurons=6, e=4, r=5):
     return BinaryGate(
         rng.standard_normal((neurons, e)), rng.standard_normal((neurons, r))
@@ -29,62 +22,78 @@ def rng():
     return np.random.default_rng(29)
 
 
+def step(pred, memo, preacts, x=None, h=None):
+    """One timestep of a predictor with an explicit memo, applied the way
+    the engine's per-gate reference path does: returns ``(mask, outputs)``,
+    and ``outputs`` is the next timestep's memo."""
+    operand = None if x is None else np.concatenate([x, h], axis=-1)
+    mask = pred.predict_many(operand=operand, preacts=preacts, memo=memo)
+    if memo is None:
+        return mask, preacts.copy()
+    return mask, np.where(mask, memo, preacts)
+
+
 class TestOracle:
     def test_first_step_never_reuses(self, rng):
         pred = OracleGatePredictor(theta=10.0)
         pred.begin_sequence(2)
-        decision = pred.step(None, None, lambda: rng.standard_normal((2, 6)))
-        assert not decision.reuse_mask.any()
+        mask, _ = step(pred, None, rng.standard_normal((2, 6)))
+        assert not mask.any()
 
     def test_reuses_when_identical(self, rng):
         pred = OracleGatePredictor(theta=0.0)
         pred.begin_sequence(1)
         y = rng.standard_normal((1, 6))
-        pred.step(None, None, lambda: y.copy())
-        decision = pred.step(None, None, lambda: y.copy())
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, y)
+        _, memo = step(pred, None, y.copy())
+        mask, outputs = step(pred, memo, y.copy())
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, y)
 
     def test_theta_zero_outputs_exact(self, rng):
         """With theta=0 the oracle only reuses exactly-equal values, so
         the output stream is bit-identical to no memoization."""
         pred = OracleGatePredictor(theta=0.0)
         pred.begin_sequence(1)
+        memo = None
         for _ in range(10):
             y = rng.standard_normal((1, 6))
-            decision = pred.step(None, None, lambda y=y: y.copy())
-            np.testing.assert_array_equal(decision.outputs, y)
+            _, memo = step(pred, memo, y.copy())
+            np.testing.assert_array_equal(memo, y)
 
     def test_thresholding_on_relative_error(self):
         pred = OracleGatePredictor(theta=0.5)
         pred.begin_sequence(1)
-        pred.step(None, None, lambda: np.array([[1.0, 1.0]]))
-        decision = pred.step(None, None, lambda: np.array([[1.2, 3.0]]))
+        _, memo = step(pred, None, np.array([[1.0, 1.0]]))
+        mask, outputs = step(pred, memo, np.array([[1.2, 3.0]]))
         # neuron 0: |1.2-1|/1.2 = 0.167 <= 0.5 -> reuse memoized 1.0
         # neuron 1: |3-1|/3 = 0.667 > 0.5 -> fresh 3.0
-        np.testing.assert_array_equal(decision.reuse_mask, [[True, False]])
-        np.testing.assert_allclose(decision.outputs, [[1.0, 3.0]])
+        np.testing.assert_array_equal(mask, [[True, False]])
+        np.testing.assert_allclose(outputs, [[1.0, 3.0]])
 
     def test_memo_updates_only_on_full_eval(self):
         pred = OracleGatePredictor(theta=0.5)
         pred.begin_sequence(1)
-        pred.step(None, None, lambda: np.array([[1.0]]))
-        pred.step(None, None, lambda: np.array([[1.2]]))  # reused, memo stays 1.0
-        decision = pred.step(None, None, lambda: np.array([[1.3]]))
+        _, memo = step(pred, None, np.array([[1.0]]))
+        _, memo = step(pred, memo, np.array([[1.2]]))  # reused, memo stays 1.0
+        np.testing.assert_array_equal(memo, [[1.0]])
+        _, outputs = step(pred, memo, np.array([[1.3]]))
         # delta vs memo 1.0: |1.3-1.0|/1.3 = 0.23 <= 0.5 -> still reuses 1.0
-        np.testing.assert_allclose(decision.outputs, [[1.0]])
+        np.testing.assert_allclose(outputs, [[1.0]])
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             OracleGatePredictor(theta=-0.1)
 
     def test_begin_sequence_resets(self, rng):
+        """The oracle's only state is the engine-held memo, which a new
+        sequence starts without; the layer drops its memos on reset."""
         pred = OracleGatePredictor(theta=100.0)
         pred.begin_sequence(1)
-        pred.step(None, None, lambda: np.ones((1, 3)))
+        _, memo = step(pred, None, np.ones((1, 3)))
+        assert step(pred, memo, np.ones((1, 3)))[0].all()
         pred.begin_sequence(1)
-        decision = pred.step(None, None, lambda: np.ones((1, 3)))
-        assert not decision.reuse_mask.any()
+        mask, _ = step(pred, None, np.ones((1, 3)))
+        assert not mask.any()
 
 
 class TestBNNPredictor:
@@ -93,8 +102,8 @@ class TestBNNPredictor:
         pred = BNNGatePredictor(gate, theta=10.0)
         pred.begin_sequence(1)
         x, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 5))
-        decision = pred.step(x, h, lambda: rng.standard_normal((1, 6)))
-        assert not decision.reuse_mask.any()
+        mask, _ = step(pred, None, rng.standard_normal((1, 6)), x, h)
+        assert not mask.any()
 
     def test_identical_inputs_reuse_everything(self, rng):
         gate = make_gate(rng)
@@ -102,11 +111,11 @@ class TestBNNPredictor:
         pred.begin_sequence(1)
         x, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 5))
         y = rng.standard_normal((1, 6))
-        pred.step(x, h, lambda: y.copy())
-        decision = pred.step(x, h, lambda: rng.standard_normal((1, 6)))
+        _, memo = step(pred, None, y.copy(), x, h)
+        mask, outputs = step(pred, memo, rng.standard_normal((1, 6)), x, h)
         # Binary outputs identical -> epsilon 0 -> reuse the memoized y.
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, y)
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, y)
 
     def test_reuse_monotone_in_theta(self, rng):
         """Higher theta can only increase total reuse (same input stream)."""
@@ -121,8 +130,10 @@ class TestBNNPredictor:
             pred = BNNGatePredictor(gate, theta=theta)
             pred.begin_sequence(1)
             reused = 0
+            memo = None
             for (x, h), y in zip(inputs, outputs):
-                reused += int(pred.step(x, h, lambda y=y: y.copy()).reuse_mask.sum())
+                mask, memo = step(pred, memo, y.copy(), x, h)
+                reused += int(mask.sum())
             counts.append(reused)
         assert counts[0] <= counts[1] <= counts[2]
 
@@ -139,14 +150,14 @@ class TestBNNPredictor:
             gate = BinaryGate(np.ones((1, 8)), np.ones((1, 8)))
             pred = BNNGatePredictor(gate, theta=0.3, throttle=throttle)
             pred.begin_sequence(1)
-            pred.step(base[:8][None], base[8:][None], lambda: np.zeros((1, 1)))
+            _, memo = step(pred, None, np.zeros((1, 1)), base[:8][None], base[8:][None])
             flags = []
-            for step in range(6):
-                operand = drifted if step % 2 == 0 else base
-                decision = pred.step(
-                    operand[:8][None], operand[8:][None], lambda: np.zeros((1, 1))
+            for t in range(6):
+                operand = drifted if t % 2 == 0 else base
+                mask, memo = step(
+                    pred, memo, np.zeros((1, 1)), operand[:8][None], operand[8:][None]
                 )
-                flags.append(bool(decision.reuse_mask[0, 0]))
+                flags.append(bool(mask[0, 0]))
             return flags
 
         unthrottled = run(False)
@@ -163,26 +174,24 @@ class TestBNNPredictor:
         pred = BNNGatePredictor(gate, theta=0.4)
         pred.begin_sequence(1)
         # First step: operands (+1, +1) -> yb = 2.
-        pred.step(np.ones((1, 1)), np.ones((1, 1)), lambda: np.array([[5.0]]))
+        _, memo = step(pred, None, np.array([[5.0]]), np.ones((1, 1)), np.ones((1, 1)))
         # Second: operands (+1, -1) -> yb = 0; diff=2, denom floor 1 -> eps 2.
-        decision = pred.step(
-            np.ones((1, 1)), -np.ones((1, 1)), lambda: np.array([[7.0]])
-        )
-        assert not decision.reuse_mask.any()
+        mask, _ = step(pred, memo, np.array([[7.0]]), np.ones((1, 1)), -np.ones((1, 1)))
+        assert not mask.any()
 
     def test_delta_resets_after_full_eval(self, rng):
         gate = make_gate(rng, neurons=1, e=2, r=2)
         pred = BNNGatePredictor(gate, theta=0.05)
         pred.begin_sequence(1)
         x0, h0 = np.ones((1, 2)), np.ones((1, 2))
-        pred.step(x0, h0, lambda: np.array([[1.0]]))
+        _, memo = step(pred, None, np.array([[1.0]]), x0, h0)
         # Big operand change forces a full evaluation...
-        pred.step(-x0, -h0, lambda: np.array([[2.0]]))
+        _, memo = step(pred, memo, np.array([[2.0]]), -x0, -h0)
         assert np.all(pred._delta == 0.0)
         # ...and identical operands afterwards reuse again.
-        decision = pred.step(-x0, -h0, lambda: np.array([[3.0]]))
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, [[2.0]])
+        mask, outputs = step(pred, memo, np.array([[3.0]]), -x0, -h0)
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, [[2.0]])
 
 
 class TestInputSimilarity:
@@ -191,30 +200,31 @@ class TestInputSimilarity:
         pred.begin_sequence(1)
         x, h = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
         y = rng.standard_normal((1, 4))
-        pred.step(x, h, lambda: y.copy())
-        decision = pred.step(x, h, lambda: rng.standard_normal((1, 4)))
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, y)
+        _, memo = step(pred, None, y.copy(), x, h)
+        mask, outputs = step(pred, memo, rng.standard_normal((1, 4)), x, h)
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, y)
 
     def test_changed_input_blocks_reuse(self, rng):
         pred = InputSimilarityGatePredictor(theta=0.01, neurons=4)
         pred.begin_sequence(1)
         x, h = np.ones((1, 3)), np.ones((1, 2))
-        pred.step(x, h, lambda: np.ones((1, 4)))
-        decision = pred.step(-x, -h, lambda: np.zeros((1, 4)))
-        assert not decision.reuse_mask.any()
+        _, memo = step(pred, None, np.ones((1, 4)), x, h)
+        mask, _ = step(pred, memo, np.zeros((1, 4)), -x, -h)
+        assert not mask.any()
 
     def test_decision_is_per_row(self, rng):
         pred = InputSimilarityGatePredictor(theta=0.01, neurons=3)
         pred.begin_sequence(2)
         x = np.ones((2, 2))
         h = np.ones((2, 2))
-        pred.step(x, h, lambda: np.ones((2, 3)))
+        _, memo = step(pred, None, np.ones((2, 3)), x, h)
         x2 = x.copy()
         x2[1] = -5.0  # only row 1 changes
-        decision = pred.step(x2, h, lambda: np.zeros((2, 3)))
-        assert decision.reuse_mask[0].all()
-        assert not decision.reuse_mask[1].any()
+        mask, outputs = step(pred, memo, np.zeros((2, 3)), x2, h)
+        assert mask[0].all()
+        assert not mask[1].any()
+        np.testing.assert_array_equal(outputs, [[1.0] * 3, [0.0] * 3])
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -284,26 +294,6 @@ class TestPredictMany:
         # No memo -> nothing to reuse.
         assert not pred.predict_many(preacts=np.array([[1.2, 3.0]])).any()
 
-    def test_predict_wrapper_matches_predict_many_row(self, rng):
-        """The deprecated single-row predict() is predict_many on a
-        singleton batch."""
-        operands = [rng.standard_normal(9) for _ in range(8)]
-
-        def run(single):
-            gate = make_gate(np.random.default_rng(29))
-            pred = BNNGatePredictor(gate, theta=0.3)
-            pred.begin_sequence(1)
-            masks = []
-            for operand in operands:
-                if single:
-                    masks.append(pred.predict(operand=operand))
-                else:
-                    masks.append(pred.predict_many(operand=operand[None, :])[0])
-            return masks
-
-        for a, b in zip(run(True), run(False)):
-            np.testing.assert_array_equal(a, b)
-
     def test_throttle_state_carries_across_calls(self):
         """Accumulated delta (Eq. 13) must survive between predict_many
         calls and reset on begin_sequence."""
@@ -323,48 +313,3 @@ class TestPredictMany:
         assert not pred.predict_many(operand=base).any()  # state was cleared
         assert pred.predict_many(operand=base).all()
 
-
-class TestDeprecationWarnings:
-    """The documented deprecations must actually warn (they were silent
-    until PR 7), so downstream callers migrating to predict_many get the
-    signal the docstrings promise."""
-
-    def test_step_warns(self, rng):
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with pytest.warns(DeprecationWarning, match="step is deprecated"):
-            pred.step(None, None, lambda: rng.standard_normal((1, 6)))
-
-    def test_predict_warns(self, rng):
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with pytest.warns(DeprecationWarning, match="predict is deprecated"):
-            pred.predict(preacts=rng.standard_normal(6))
-
-    def test_warning_points_at_the_caller(self, rng):
-        """stacklevel=2: the warning is attributed to this file, not to
-        predictors.py — otherwise every caller sees a useless location."""
-        import warnings
-
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pred.step(None, None, lambda: rng.standard_normal((1, 6)))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_predict_many_does_not_warn(self, rng):
-        import warnings
-
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pred.predict_many(preacts=rng.standard_normal((1, 6)))
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

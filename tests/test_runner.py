@@ -103,7 +103,6 @@ class TestSweepJob:
             {"scale": "bench"},
             {"seed": 1},
             {"throttle": False},
-            {"use_packed": True},
             {"calibration": True},
             {"layer_thetas": (("lstm", 0.1),)},
         ],
@@ -237,9 +236,10 @@ class TestJobPayloadRoundTrip:
         with pytest.raises(ValueError, match="unknown job kind"):
             job_from_payload(payload)
 
-    def test_foreign_cache_version_rejected(self):
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
+    def test_foreign_cache_version_rejected(self, offset):
         payload = make_job().point_payload(0.2)
-        payload["cache_version"] = CACHE_VERSION + 1
+        payload["cache_version"] = CACHE_VERSION + offset
         with pytest.raises(ValueError, match="cache_version"):
             job_from_payload(payload)
 

@@ -17,7 +17,6 @@ The load-bearing properties:
   scheme_version alongside them.
 """
 
-import math
 import threading
 import time
 
@@ -42,7 +41,7 @@ from repro.serve import (
     parse_layer_thetas,
     run_loadgen,
 )
-from repro.serve.loadgen import expected_outputs, scheme_from_info
+from repro.serve.loadgen import expected_outputs
 from repro.serve.state import SessionError
 
 THETA = 0.05
