@@ -1,16 +1,27 @@
 """Ablation: bit-packed XNOR/popcount vs ±1-matmul BNN evaluation.
 
 This measures the functional simulator itself (all paths are bit-exact;
-the hardware argument for XNOR/popcount is §2.2).  The geometry is the
-one the vectorized engine actually runs: a whole LSTM gate phase stacked
-along the neuron axis (4 x 320 neurons at EESEN's widths), evaluated on
-a batch of operands.  Two paths are timed:
+the hardware argument for XNOR/popcount is §2.2).  The geometries are the
+ones the vectorized engine actually runs: a whole LSTM gate phase stacked
+along the neuron axis, evaluated on a batch of operands.
+
+- ``eesen-b16``: 4 gates x 320 neurons, 640-bit operands, B=16;
+- ``mnmt-b16`` and ``mnmt-b1``: the MNMT LSTM-1024 phase, 4 gates x 1024
+  neurons, 2048-bit operands (the BDPU's full row width), at B=16 (batch
+  throughput) and B=1 (streaming).
+
+Two paths are timed at each geometry:
 
 - the ±1 int matmul (``BinaryGate.evaluate``, i.e. ``binary_dot``) —
   the kernel of the engine's scalar reference path,
 - the engine's hot path: the operand packed once via ``pack_signs`` and
   fed to ``BinaryGate.evaluate_packed`` — exactly what
-  ``MemoizedRecurrentLayer`` does per phase timestep.
+  ``MemoizedRecurrentLayer`` does per phase timestep.  The popcount
+  kernel walks the packed words in cache-sized blocks against the gate's
+  Fortran-ordered packed weights, with no ``(B, H, W)`` intermediate.
+
+``test_paths_agree`` checks at every geometry that the matmul, the bare
+``binary_dot_packed`` kernel and the engine path give the same integers.
 """
 
 import numpy as np
@@ -19,18 +30,22 @@ import pytest
 from repro.core.binarization import binary_dot_packed, pack_signs
 from repro.core.bnn import BinaryGate
 
-#: EESEN-like phase geometry: 4 LSTM gates x 320 neurons, 640-bit operands.
-GATES, NEURONS, INPUT, RECURRENT = 4, 320, 320, 320
-BATCH = 16
+#: (gates, neurons, input, recurrent, batch) per geometry.
+GEOMETRIES = {
+    "eesen-b16": (4, 320, 320, 320, 16),
+    "mnmt-b16": (4, 1024, 1024, 1024, 16),
+    "mnmt-b1": (4, 1024, 1024, 1024, 1),
+}
 
 
-@pytest.fixture(scope="module")
-def phase_operands():
+@pytest.fixture(scope="module", params=list(GEOMETRIES))
+def phase_operands(request):
+    gates, neurons, inputs, recurrent, batch = GEOMETRIES[request.param]
     rng = np.random.default_rng(0)
-    w_x = rng.standard_normal((GATES * NEURONS, INPUT))
-    w_h = rng.standard_normal((GATES * NEURONS, RECURRENT))
-    x = rng.standard_normal((BATCH, INPUT))
-    h = rng.standard_normal((BATCH, RECURRENT))
+    w_x = rng.standard_normal((gates * neurons, inputs))
+    w_h = rng.standard_normal((gates * neurons, recurrent))
+    x = rng.standard_normal((batch, inputs))
+    h = rng.standard_normal((batch, recurrent))
     return w_x, w_h, x, h
 
 
@@ -38,7 +53,7 @@ def test_bnn_matmul_path(benchmark, phase_operands):
     w_x, w_h, x, h = phase_operands
     gate = BinaryGate(w_x, w_h)
     result = benchmark(gate.evaluate, x, h)
-    assert result.shape == (BATCH, GATES * NEURONS)
+    assert result.shape == (x.shape[0], w_x.shape[0])
 
 
 def test_bnn_prepacked_engine_path(benchmark, phase_operands):
@@ -51,7 +66,7 @@ def test_bnn_prepacked_engine_path(benchmark, phase_operands):
         return gate.evaluate_packed(pack_signs(operand))
 
     result = benchmark(engine_step)
-    assert result.shape == (BATCH, GATES * NEURONS)
+    assert result.shape == (x.shape[0], w_x.shape[0])
 
 
 def test_paths_agree(benchmark, phase_operands):

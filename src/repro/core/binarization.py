@@ -14,6 +14,15 @@ popcount operations per neuron — this is the compute path behind the
 vectorized memoization engine, and the reason the BNN predictor costs a
 popcount rather than an integer matmul.
 
+``binary_dot_packed`` accumulates words-major: it walks the packed words
+in blocks sized so one ``(B, k, H)`` XOR block fits a fixed cache budget
+(``_BLOCK_BYTES``), popcounts the block and adds it into a single
+``(B, H)`` int32 accumulator.  No ``(B, H, W)`` intermediate is ever
+built, so its temporary memory is independent of the operand width.  The
+kernel reads the weights through their ``(W, H)`` transpose, so weights
+stored in Fortran order (as :class:`~repro.core.bnn.BinaryGate` keeps
+them) are the fast layout; C-ordered weights give the same integers.
+
 The test suite asserts both paths agree bit-exactly on random inputs,
 including widths that are not multiples of the word size.
 """
@@ -31,6 +40,11 @@ _WORD_BITS = 64
 #: uint8 bytes per packed word (``np.packbits`` emits bytes; groups of
 #: eight bytes are reinterpreted as one ``uint64`` lane).
 _BYTES_PER_WORD = _WORD_BITS // 8
+
+#: Size in bytes of one XOR block in :func:`binary_dot_packed`: each step
+#: handles ``max(1, _BLOCK_BYTES // (B * H * 8))`` packed words, so the
+#: block stays cache-resident whatever the operand width.
+_BLOCK_BYTES = 256 * 1024
 
 
 def binarize(x: Array) -> Array:
@@ -93,20 +107,38 @@ def binary_dot_packed(w_packed: Array, x_packed: Array, n_bits: int) -> Array:
     the exact same integer the ±1 matmul produces, at a fraction of the
     cost: each 64 operand lanes cost one XOR and one popcount.
 
+    The mismatch count is accumulated words-major over ``w_packed.T``: each
+    step XORs a ``(B, k, H)`` block of ``k`` packed words against the
+    operand words, popcounts it and sums it into one ``(B, H)`` int32
+    accumulator.  ``k`` is chosen so the block fits ``_BLOCK_BYTES``; the
+    temporaries therefore never grow with the word count ``W``.  Fortran-
+    ordered ``w_packed`` makes every ``w_packed.T`` block a contiguous
+    slice and is the fast layout; any layout gives the same integers.
+
     Args:
         w_packed: ``(H, W)`` packed weight signs (uint64 words).
         x_packed: ``(W,)`` or ``(B, W)`` packed input signs.
         n_bits: the unpadded operand length D.
+
+    Returns:
+        ``(H,)`` or ``(B, H)`` int32 dot products.
     """
-    w_packed = np.asarray(w_packed, dtype=np.uint64)
+    w_words = np.asarray(w_packed, dtype=np.uint64).T
     x_packed = np.asarray(x_packed, dtype=np.uint64)
-    if x_packed.ndim == 1:
-        xor = np.bitwise_xor(w_packed, x_packed[None, :])
-        mismatches = np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
-        return (n_bits - 2 * mismatches).astype(np.int32)
-    xor = np.bitwise_xor(w_packed[None, :, :], x_packed[:, None, :])
-    mismatches = np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
-    return (n_bits - 2 * mismatches).astype(np.int32)
+    x_words = x_packed[None] if x_packed.ndim == 1 else x_packed
+    words, neurons = w_words.shape
+    batch = x_words.shape[0]
+    step = max(1, _BLOCK_BYTES // max(1, batch * neurons * 8))
+    acc = np.zeros((batch, neurons), dtype=np.int32)
+    for start in range(0, words, step):
+        block = np.bitwise_xor(
+            w_words[None, start : start + step, :],
+            x_words[:, start : start + step, None],
+        )
+        acc += np.bitwise_count(block).sum(axis=1, dtype=np.int32)
+    acc *= -2
+    acc += n_bits
+    return acc[0] if x_packed.ndim == 1 else acc
 
 
 def padded_bit_length(n_bits: int) -> int:

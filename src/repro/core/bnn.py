@@ -62,13 +62,16 @@ class BinaryGate:
 
     @property
     def packed_weights(self) -> Array:
-        """uint64-packed weight signs, built on first use and cached.
+        """``(H, W)`` uint64-packed weight signs, built on first use and cached.
 
         ``weights_bin`` is ±1 with the same ``>= 0`` convention as the raw
         weights, so packing it reproduces ``pack_signs([w_x | w_h])`` exactly.
+        The words are stored in Fortran order: ``binary_dot_packed`` walks
+        the ``(W, H)`` transpose word block by word block, and this layout
+        makes each block a C-contiguous slice.
         """
         if self._weights_packed is None:
-            self._weights_packed = pack_signs(self.weights_bin)
+            self._weights_packed = np.asfortranarray(pack_signs(self.weights_bin))
         return self._weights_packed
 
     def evaluate(self, x: Array, h: Array) -> Array:

@@ -37,6 +37,23 @@ class TestConstruction:
         gate = BinaryGate(rng.standard_normal((4, 3)), rng.standard_normal((4, 5)))
         assert gate.storage_bits == 4 * 8
 
+    def test_packed_weights_fortran_ordered(self, rng):
+        """Lazy, ``(H, W)``, Fortran-ordered and equal to packing
+        ``[w_x | w_h]``: the kernel's ``(W, H)`` view is C-contiguous."""
+        w_x = rng.standard_normal((5, 30))
+        w_h = rng.standard_normal((5, 40))
+        gate = BinaryGate(w_x, w_h)
+        assert gate._weights_packed is None
+        packed = gate.packed_weights
+        assert packed.shape == (5, 2)  # 70 bits -> two 64-bit words
+        assert packed.dtype == np.uint64
+        assert packed.flags["F_CONTIGUOUS"]
+        assert packed.T.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(
+            packed, pack_signs(np.concatenate([w_x, w_h], axis=1))
+        )
+        assert gate.packed_weights is packed
+
 
 class TestEvaluate:
     def test_matches_reference_dot(self, rng):
